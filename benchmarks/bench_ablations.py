@@ -13,7 +13,7 @@ checked against them.
 
 import pytest
 
-from repro.bench.harness import run_workload
+from repro.api import evaluate
 from repro.bench.reporting import emit, format_table
 from repro.frontend import translate_module
 from repro.frontend.interp import Memory
@@ -57,8 +57,8 @@ class _Retime(Pass):
         return self._result(n > 0)
 
 
-def _cycles(name, passes=(), params=None):
-    return run_workload(name, passes, "ablation", params=params).cycles
+def _cycles(name, passes=None, params=None):
+    return evaluate(name, passes, params).cycles
 
 
 def _run():

@@ -6,8 +6,8 @@ dominated by in-place stage serialization plus memory bandwidth (see
 EXPERIMENTS.md for the analysis), so fusion is roughly neutral there.
 """
 
+from repro.api import evaluate
 from repro.bench.configs import fusion_stack
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 
 NAMES = ["fft", "spmv", "covar", "saxpy", "gemm"]
@@ -17,8 +17,8 @@ def _run():
     rows = []
     speedups = {}
     for name in NAMES:
-        base = run_workload(name)
-        fused = run_workload(name, fusion_stack(), "fusion")
+        base = evaluate(name)
+        fused = evaluate(name, fusion_stack())
         speedup = base.time_us / fused.time_us
         speedups[name] = speedup
         details = fused.pass_log[0].details

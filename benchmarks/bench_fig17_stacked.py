@@ -5,8 +5,8 @@ Cilk accelerators get Banking+Fusion+Tiling; everything else gets
 Banking+Localization+OpFusion (the paper's two groups).
 """
 
+from repro.api import evaluate
 from repro.bench.configs import CILK_SET, all_opts_for
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 
 NAMES = ["saxpy", "stencil", "img_scale", "gemm", "covar", "fft",
@@ -18,8 +18,8 @@ def _run():
     rows = []
     speedups = {}
     for name in NAMES:
-        base = run_workload(name)
-        opt = run_workload(name, all_opts_for(name), "stacked")
+        base = evaluate(name)
+        opt = evaluate(name, all_opts_for(name))
         speedup = base.time_us / opt.time_us
         speedups[name] = speedup
         group = "Banking,Fusion,Tile" if name in CILK_SET \

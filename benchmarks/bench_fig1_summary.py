@@ -5,33 +5,32 @@ Intrinsics 8.5x, Locality 1.5x.  This bench reproduces the same four
 bars from representative workloads.
 """
 
+from repro.api import evaluate
 from repro.bench.configs import (
     fusion_stack,
     localization_stack,
     tiling_stack,
 )
-from repro.bench.harness import run_workload
 from repro.bench.reporting import emit, format_table
 
 
 def _run():
     bars = {}
 
-    base = run_workload("covar")
-    fused = run_workload("covar", fusion_stack(), "fusion")
+    base = evaluate("covar")
+    fused = evaluate("covar", fusion_stack())
     bars["op_fusion (covar)"] = base.time_us / fused.time_us
 
-    base = run_workload("fib", localization_stack(4), "sub")
-    tiled = run_workload("fib", localization_stack(4) + tiling_stack(8),
-                         "8T")
+    base = evaluate("fib", localization_stack(4))
+    tiled = evaluate("fib", localization_stack(4) + tiling_stack(8))
     bars["task_tiling (fib, 8T)"] = base.time_us / tiled.time_us
 
-    base = run_workload("2mm_t")
-    tensor = run_workload("2mm_t", config="tensor", variant="tensor")
+    base = evaluate("2mm_t")
+    tensor = evaluate("2mm_t", variant="tensor")
     bars["tensor_intrinsics (2mm_t)"] = base.time_us / tensor.time_us
 
-    base = run_workload("spmv")
-    local = run_workload("spmv", localization_stack(2), "local")
+    base = evaluate("spmv")
+    local = evaluate("spmv", localization_stack(2))
     bars["locality (spmv)"] = base.time_us / local.time_us
 
     rows = [[k, round(v, 2)] for k, v in bars.items()]

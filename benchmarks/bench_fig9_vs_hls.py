@@ -7,7 +7,7 @@ the majority (dataflow execution + clock), and HLS wins on FFT where
 its inferred streaming buffers shine.
 """
 
-from repro.bench.harness import run_workload
+from repro.api import evaluate
 from repro.bench.reporting import emit, format_table
 from repro.hls import estimate_hls
 from repro.workloads import WORKLOADS
@@ -21,13 +21,13 @@ def _run():
     normalized = {}
     for name in NAMES:
         w = WORKLOADS[name]
-        uir = run_workload(name)
+        uir = evaluate(name)
         hls = estimate_hls(w.module(), w.fresh_memory(), *w.args)
-        hls_time = hls.time_at(uir.fpga_mhz)
+        hls_time = hls.time_at(uir.synth.fpga_mhz)
         norm = uir.time_us / hls_time
         normalized[name] = norm
         rows.append([name, uir.cycles, hls.cycles,
-                     round(uir.fpga_mhz), round(norm, 2)])
+                     round(uir.synth.fpga_mhz), round(norm, 2)])
     return rows, normalized
 
 

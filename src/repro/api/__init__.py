@@ -24,8 +24,7 @@ returns the Pipeline so the chain reads like the paper's Figure 1;
 :class:`Evaluation` aggregate.
 
 The old hand-wired pattern keeps working — the four building blocks
-remain public and `repro.bench.run_workload` is now a thin shim over
-this facade.
+remain public.
 """
 
 from __future__ import annotations

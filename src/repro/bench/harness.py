@@ -1,16 +1,14 @@
-"""End-to-end experiment runner: workload -> uIR -> passes -> sim ->
-synthesis -> time."""
+"""The measured-quality record of one accelerator configuration
+(the input of ``repro report``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-from ..api import Pipeline
-from ..opt import Pass, PassResult
+from ..opt import PassResult
 from ..rtl import SynthesisReport
-from ..sim import SimParams, SimStats
-from ..workloads import Workload, get_workload
+from ..sim import SimStats
 
 
 @dataclass
@@ -37,41 +35,3 @@ class RunResult:
         return (f"RunResult({self.workload}/{self.config}: "
                 f"{self.cycles} cyc @ {self.fpga_mhz:.0f} MHz = "
                 f"{self.time_us:.2f} us)")
-
-
-def run_workload(workload, passes: Sequence[Pass] = (),
-                 config: str = "baseline", variant: str = "base",
-                 params: Optional[SimParams] = None,
-                 check: bool = True) -> RunResult:
-    """Build, optimize, simulate, and synthesize one configuration.
-
-    ``workload`` is a name or :class:`Workload`.  The simulated memory
-    image is verified against the reference interpreter unless
-    ``check=False`` (every uopt configuration must preserve behavior —
-    that is the paper's core claim, so we always assert it in anger).
-
-    .. deprecated::
-        This predates :class:`repro.api.Pipeline` and now simply
-        drives it, returning the same :class:`RunResult`.  New code
-        should use :class:`repro.api.Pipeline` (or
-        :func:`repro.api.evaluate`, which routes through the typed
-        ``repro.eval/v1`` request the serve daemon speaks).
-    """
-    import warnings
-    warnings.warn(
-        "repro.bench.run_workload is deprecated; drive "
-        "repro.api.Pipeline (or repro.api.evaluate) instead",
-        DeprecationWarning, stacklevel=2)
-    w: Workload = get_workload(workload) if isinstance(workload, str) \
-        else workload
-    pipe = Pipeline(w, variant=variant, name=f"{w.name}_{config}")
-    pipe.optimize(list(passes) if not isinstance(passes, str)
-                  else passes)
-    pipe.simulate(params, check=check)
-    pipe.synthesize(name=w.name)
-    return RunResult(workload=w.name, config=config,
-                     cycles=pipe.sim.cycles,
-                     fpga_mhz=pipe.synth.fpga_mhz,
-                     stats=pipe.sim.stats, synth=pipe.synth,
-                     pass_log=list(pipe.pass_log), variant=variant,
-                     circuit=pipe.circuit)

@@ -111,7 +111,10 @@ async def read_request(reader) -> Tuple[str, str, Optional[Dict]]:
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0")
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ProtocolError(f"malformed Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise ProtocolError(f"request body too large ({length} bytes)")
     body = await reader.readexactly(length) if length else b""

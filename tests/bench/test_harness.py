@@ -11,7 +11,6 @@ from repro.bench import (
     fusion_stack,
     localization_stack,
     normalize,
-    run_workload,
     tiling_stack,
 )
 from repro.bench.configs import CILK_SET
@@ -64,20 +63,6 @@ class TestEvaluate:
         from repro.api import evaluate
         ev = evaluate("relu_t", variant="tensor")
         assert ev.variant == "tensor"
-
-
-class TestRunWorkloadShim:
-    """run_workload is deprecated but must keep working (one
-    compatibility test, per the deprecation contract)."""
-
-    def test_shim_warns_and_matches_pipeline(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            r = run_workload("spmv", fusion_stack(), "fusion")
-        assert r.workload == "spmv"
-        assert r.config == "fusion"
-        assert r.cycles > 0
-        assert r.pass_log and r.pass_log[0].pass_name == "op_fusion"
-        assert r.time_us == pytest.approx(r.cycles / r.fpga_mhz)
 
 
 class TestConfigs:

@@ -68,6 +68,13 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="undecodable"):
             parse_raw(raw)
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e3", ""])
+    def test_malformed_content_length_is_protocol_error(self, value):
+        raw = (b"POST /v1/evaluate HTTP/1.0\r\n"
+               b"Content-Length: " + value.encode() + b"\r\n\r\n{}")
+        with pytest.raises(ProtocolError, match="Content-Length"):
+            parse_raw(raw)
+
     def test_response_header_is_http(self):
         head = response_header()
         assert head.startswith(b"HTTP/1.0 200 OK\r\n")

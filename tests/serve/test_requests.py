@@ -171,6 +171,16 @@ class TestResponse:
             EvaluationResponse.from_json(doc)
 
 
+class TestRemovedTraceKernel:
+    def test_trace_kernel_is_an_error_response(self):
+        resp = execute(EvaluationRequest(workload="saxpy",
+                                         sim={"kernel": "trace"}))
+        assert not resp.ok
+        assert resp.error["error"] == "SimulationError"
+        assert "unknown simulation kernel 'trace'" in \
+            resp.error["message"]
+
+
 class TestDeterministicPayload:
     """The contract the daemon's dedup/coalescing guarantees lean on:
     re-executing the same request yields bit-identical payloads."""

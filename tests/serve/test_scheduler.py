@@ -16,6 +16,8 @@ mirroring the DSE supervision tests.
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
@@ -244,12 +246,16 @@ class TestSupervisorTimeout:
     def test_hung_request_times_out_then_succeeds(self, monkeypatch):
         calls = {"n": 0}
         real = worker_mod.run_payload
+        abandoned_done = threading.Event()
 
         def hang_once(doc):
             calls["n"] += 1
             if calls["n"] == 1:
-                import time
-                time.sleep(1.5)
+                try:
+                    time.sleep(1.5)
+                    return real(doc)
+                finally:
+                    abandoned_done.set()
             return real(doc)
 
         monkeypatch.setattr(worker_mod, "run_payload", hang_once)
@@ -267,6 +273,10 @@ class TestSupervisorTimeout:
             assert job.response_doc["status"] == "ok"
 
         run(go())
+        # The abandoned call still runs in a pool thread of this
+        # process; let it finish here, before a later test arms the
+        # kill chaos hook that it would otherwise fire on this process.
+        assert abandoned_done.wait(30)
 
 
 class TestWorkerDeath:

@@ -36,6 +36,7 @@ from repro.serve import (
     ServeClient,
     ServeConnectionError,
     ServeTimeout,
+    parse_address,
     response_payload_bytes,
     start_in_thread,
 )
@@ -252,6 +253,17 @@ class TestErrors:
         client = client_for(server())
         with pytest.raises(ReproError, match="server rejected"):
             client._call("/v1/evaluate", {"schema": EVAL_SCHEMA})
+
+    def test_malformed_content_length_answers_400(self, server):
+        _family, addr = parse_address(server().address)
+        with socket.create_connection(addr, timeout=10) as s:
+            s.sendall(b"POST /v1/health HTTP/1.0\r\n"
+                      b"Content-Length: abc\r\n\r\n")
+            reply = b""
+            while chunk := s.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.0 400 Bad Request")
+        assert b"Content-Length" in reply
 
     def test_version_skew_rejected_loudly(self, server):
         client = client_for(server())

@@ -20,8 +20,7 @@ from repro.opt import (
     ScratchpadBanking,
     TaskPipelining,
 )
-from repro.sim import SimParams, simulate
-from repro.sim.faults import FaultPlan
+from repro.sim import simulate
 
 # ---------------------------------------------------------------------------
 # Random program generator (always well-formed by construction)
@@ -154,54 +153,3 @@ class TestRandomPrograms:
                [CacheBanking(2), MemoryLocalization(),
                 ScratchpadBanking(4), OpFusion(), TaskPipelining(),
                 ParameterTuning()])
-
-
-# ---------------------------------------------------------------------------
-# Trace-kernel bit identity under random fault activation
-# ---------------------------------------------------------------------------
-
-def _run_kernel(module, circuit, trip, kernel, plan):
-    """One simulation; returns (outcome, memory words) where outcome
-    is either ("ok", cycles, results, stats-doc) or ("raise", type)."""
-    mem = Memory(module)
-    mem.set_array("inp", [(i * 13 + 5) % 97 - 40 for i in range(16)])
-    try:
-        res = simulate(circuit, mem, [trip],
-                       SimParams(kernel=kernel, faults=plan))
-    except Exception as exc:  # noqa: BLE001 - compared across kernels
-        return ("raise", type(exc)), mem.words
-    doc = res.stats.to_json()
-    doc.pop("kernel")
-    return ("ok", res.cycles, list(res.results), doc), mem.words
-
-
-class TestTraceKernelEquivalence:
-    """kernel="trace" must be bit-identical to the event kernel on
-    random programs — cycles, memory, results, and the full SimStats
-    document — with and without a randomly activated fault plan.
-
-    Fault events land at random mid-run cycles; an active plan forces
-    the tier's deopt policy (disabled outright), so this property
-    pins both the superblock/jump fast path and the forced-fallback
-    path against the same oracle.
-    """
-
-    @_SLOW
-    @given(programs(), st.integers(0, 2 ** 16),
-           st.sampled_from([None, 0.5, 1.0, 2.0]))
-    def test_trace_is_bit_identical_to_event(self, prog, seed,
-                                             intensity):
-        source, trip = prog
-        plan = None if intensity is None else \
-            FaultPlan.generate(seed, intensity=intensity)
-        module = compile_minic(source)
-        circuit = translate_module(module)
-        PassManager([CacheBanking(2), MemoryLocalization(),
-                     ScratchpadBanking(4), OpFusion(),
-                     TaskPipelining(), ParameterTuning()]).run(circuit)
-        ev, ev_words = _run_kernel(module, circuit, trip, "event",
-                                   plan)
-        tr, tr_words = _run_kernel(module, circuit, trip, "trace",
-                                   plan)
-        assert tr == ev, source
-        assert tr_words == ev_words, source
