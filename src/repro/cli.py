@@ -803,8 +803,8 @@ DEFAULT_SERVE_ADDRESS = "127.0.0.1:8651"
 def cmd_serve(args) -> int:
     import asyncio
 
-    from .dse.engine import RetryPolicy
     from .serve import PROTOCOL, ServeServer
+    from .supervise import RetryPolicy
 
     retry = RetryPolicy(max_attempts=max(1, args.retries),
                         base_delay=args.retry_delay)

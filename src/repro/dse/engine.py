@@ -9,15 +9,12 @@ keeps searching when the environment misbehaves:
   seeded random sample) and are mapped to pass-spec strings by a
   pipeline template — only picklable primitives ever cross process
   boundaries;
-* evaluation fans out over a ``ProcessPoolExecutor`` supervised for
-  fault tolerance: a dying worker (OOM, signal) breaks the pool, so
-  the supervisor respawns it and re-enqueues the in-flight points as
-  isolated single-point chunks; transient failures (worker death,
-  wall-clock watchdogs, ``OSError``) retry with exponential backoff +
-  jitter up to :class:`RetryPolicy` limits, while deterministic error
-  families (deadlock, LI violation, pass errors...) are never
-  retried; a point implicated in **two** worker deaths is quarantined
-  as poison (:class:`~repro.errors.PoisonPointError`, exit code 11);
+* evaluation fans out over a ``ProcessPoolExecutor`` under the
+  supervision policy of :mod:`repro.supervise` (shared with the
+  daemon): transient failures retry with backoff, deterministic ones
+  never, a worker death re-runs the in-flight points isolated, and a
+  point implicated in **two** deaths is quarantined as poison
+  (:class:`~repro.errors.PoisonPointError`, exit code 11);
 * every sweep can write a :class:`~repro.dse.journal.SweepJournal` —
   an append-only JSONL record of planned points, TTL leases,
   completions and failures — so ``SIGINT``/``SIGTERM`` checkpoint the
@@ -36,13 +33,11 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, \
+    ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
@@ -50,16 +45,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
 
 from .. import telemetry
 from ..errors import (
-    PoisonPointError,
     ReproError,
     SweepInterrupted,
     error_document,
-    error_family,
     family_for,
     unexpected_error_document,
 )
 from ..opt import parse_pass_specs, spec_to_string
 from ..sim import SimParams
+from ..supervise import (Attempt, Failure, RetryPolicy, Supervisor,
+                         drop_pool, spend_flag)
 from ..workloads import get_workload
 from .cache import (
     COUNT_KEYS,
@@ -91,31 +86,6 @@ METRICS = ("time_us", "cycles", "alms", "regs", "dsps", "fpga_mw",
 #: zero for an uneventful sweep).
 DURABILITY_KEYS = ("retries", "worker_deaths", "timeouts",
                    "quarantined", "lease_reclaims", "resumed")
-
-
-@dataclass
-class RetryPolicy:
-    """How the supervisor retries transient point failures.
-
-    ``max_attempts`` bounds total tries per point (1 = never retry);
-    delays grow exponentially from ``base_delay`` up to ``max_delay``,
-    each multiplied by a uniform jitter in ``[1 - jitter, 1 + jitter]``
-    so respawned workers don't stampede."""
-
-    max_attempts: int = 3
-    base_delay: float = 0.25
-    max_delay: float = 5.0
-    jitter: float = 0.5
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before attempt ``attempt + 1`` (attempts are
-        1-based; called with the attempt that just failed)."""
-        base = min(self.max_delay,
-                   self.base_delay * (2.0 ** max(0, attempt - 1)))
-        # Timing-only jitter: results are unaffected, so the shared
-        # deterministic RNG (repro.util.rng) is deliberately not used.
-        return base * random.uniform(1.0 - self.jitter,
-                                     1.0 + self.jitter)
 
 
 @dataclass
@@ -348,18 +318,6 @@ class ExploreReport:
 CHAOS_ENV = "REPRO_DSE_CHAOS"
 
 
-def _spend_flag(flag: Optional[str]) -> bool:
-    """True if the fault should fire (no flag, or flag not yet
-    spent); creating the flag marks it spent for later attempts."""
-    if not flag:
-        return True
-    if os.path.exists(flag):
-        return False
-    with open(flag, "w"):
-        pass
-    return True
-
-
 def _maybe_chaos(index: int) -> None:
     spec = os.environ.get(CHAOS_ENV)
     if not spec:
@@ -369,10 +327,10 @@ def _maybe_chaos(index: int) -> None:
     except ValueError:
         return
     hang = doc.get("hang_point") or {}
-    if hang.get("index") == index and _spend_flag(hang.get("flag")):
+    if hang.get("index") == index and spend_flag(hang.get("flag")):
         time.sleep(float(hang.get("seconds", 3600)))
     kill = doc.get("kill_point") or {}
-    if kill.get("index") == index and _spend_flag(kill.get("flag")):
+    if kill.get("index") == index and spend_flag(kill.get("flag")):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -488,11 +446,6 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
     return outs
 
 
-def _evaluate_point(payload: Dict) -> Dict:
-    """Single-point compatibility wrapper over :func:`_evaluate_group`."""
-    return _evaluate_group([payload])[0]
-
-
 # ---------------------------------------------------------------------------
 # Parent side: the sweep supervisor
 # ---------------------------------------------------------------------------
@@ -509,46 +462,46 @@ def _sendable(payloads: List[Dict]) -> List[Dict]:
             for p in payloads]
 
 
-class _Chunk:
-    """A unit of dispatch: payloads sharing one pass spec, plus the
-    attempt this dispatch represents (1-based)."""
+class _InlineExecutor(Executor):
+    """The ``workers <= 1`` executor: evaluates in-process at submit,
+    so every future it returns is already complete."""
 
-    __slots__ = ("payloads", "attempt", "suspect")
-
-    def __init__(self, payloads: List[Dict], attempt: int = 1,
-                 suspect: bool = False):
-        self.payloads = payloads
-        self.attempt = attempt
-        self.suspect = suspect
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
-class _Supervisor:
-    """Drives chunks to completion through retries, worker deaths,
-    supervisor timeouts, poison quarantine, journal leases, and
-    SIGINT/SIGTERM checkpointing (see the module docstring for the
-    policy; this class is the mechanism)."""
+class _SweepRunner:
+    """Drives a sweep's chunks through :class:`repro.supervise.
+    Supervisor` (retries, worker deaths, deadlines, quarantine) and
+    owns what only sweeps have: journal leases and SIGINT/SIGTERM
+    checkpointing.  Supervision members are point indices."""
 
     def __init__(self, *, chunks: List[List[Dict]], workers: int,
                  retry: RetryPolicy, point_timeout: Optional[float],
                  journal: Optional[SweepJournal], lease_ttl: float,
-                 settle_ok, settle_fail, restore, met):
-        self.queue = deque(_Chunk(c) for c in chunks)
-        self.delayed: List[tuple] = []   # (ready_monotonic, _Chunk)
-        self.suspects: deque = deque()   # chunks run in isolation
+                 settle_ok, settle_fail, restore,
+                 settled: int, total: int):
+        self.durability: Dict[str, int] = {k: 0 for k in
+                                           DURABILITY_KEYS}
+        self.sup = Supervisor(retry, point_timeout,
+                              counts=self.durability)
+        self.payloads: Dict[int, Dict] = {}
+        for chunk in chunks:
+            self.payloads.update((p["index"], p) for p in chunk)
+            self.sup.add(p["index"] for p in chunk)
+        self.pool_size = min(workers, max(1, len(chunks)))
+        self.inline = workers <= 1 or len(self.payloads) <= 1
         self.external: Dict[str, Dict] = {}  # leased to another process
-        self.deaths: Dict[str, int] = {}
-        self.workers = workers
-        self.retry = retry
-        self.point_timeout = point_timeout
         self.journal = journal
         self.lease_ttl = lease_ttl
         self.owner = f"{os.getpid()}-{os.urandom(2).hex()}"
         self.settle_ok = settle_ok       # (payload, out, attempts) -> doc
         self.settle_fail = settle_fail   # (payload, doc, attempts) -> doc
         self.restore = restore           # (payload, PointState) -> None
-        self.met = met
-        self.durability: Dict[str, int] = {k: 0 for k in
-                                           DURABILITY_KEYS}
+        self.settled = settled
+        self.total = total
         self.interrupted: Optional[str] = None
         self._ext_poll = 0.0
 
@@ -573,42 +526,28 @@ class _Supervisor:
                 pass
         return saved
 
-    def _check_interrupt(self, pool=None):
+    def _check_interrupt(self, pool) -> None:
         if not self.interrupted:
             return
-        if pool is not None:
-            _kill_pool(pool)
+        drop_pool(pool, kill=True)
         if self.journal is not None:
             self.journal.record_interrupt(self.interrupted)
-        settled = self._settled_count()
         raise SweepInterrupted(
             self.journal.sweep_id if self.journal else "<unjournaled>",
-            settled, self._total_points(), self.interrupted)
-
-    def _settled_count(self) -> int:
-        return self._settled
-
-    # populated by run(); the engine passes totals in.
-    _settled = 0
-    _total = 0
-
-    def _total_points(self) -> int:
-        return self._total
-
-    def note_settled(self) -> None:
-        self._settled += 1
+            self.settled, self.total, self.interrupted)
 
     # -- journal leases ----------------------------------------------------
-    def _claim(self, chunk: _Chunk) -> List[Dict]:
-        """Take journal leases for a chunk; returns the payloads this
-        process actually owns (settled ones are restored, lost races
-        and live foreign leases are parked as external)."""
+    def _claim(self, attempt: Attempt) -> List[Dict]:
+        """Take journal leases for an attempt; returns the payloads
+        this process actually owns (settled ones are restored, lost
+        races and live foreign leases are parked as external)."""
+        payloads = [self.payloads[i] for i in attempt.tries]
         if self.journal is None:
-            return chunk.payloads
+            return payloads
         now = time.time()
         pre = self.journal.state()
         claimable: List[Dict] = []
-        for payload in chunk.payloads:
+        for payload in payloads:
             key = payload["_jkey"]
             ps = pre.points.get(key)
             if ps is None:
@@ -616,7 +555,7 @@ class _Supervisor:
                 continue
             if ps.settled:
                 self.restore(payload, ps)
-                self.note_settled()
+                self.settled += 1
                 continue
             owner = ps.lease_owner(now)
             if owner is not None and owner != self.owner:
@@ -624,20 +563,19 @@ class _Supervisor:
                 continue
             if ps.claims and owner is None:
                 self.durability["lease_reclaims"] += 1
-                self.met.counter("dse.lease_reclaims").inc()
             claimable.append(payload)
-        if not claimable:
-            return []
-        self.journal.claim([p["_jkey"] for p in claimable],
-                           self.owner, self.lease_ttl)
-        post = self.journal.state()
         mine: List[Dict] = []
-        for payload in claimable:
-            ps = post.points.get(payload["_jkey"])
-            if ps is None or ps.lease_owner(now) == self.owner:
-                mine.append(payload)
-            else:
-                self.external[payload["_jkey"]] = payload
+        if claimable:
+            self.journal.claim([p["_jkey"] for p in claimable],
+                               self.owner, self.lease_ttl)
+            post = self.journal.state()
+            for payload in claimable:
+                ps = post.points.get(payload["_jkey"])
+                if ps is None or ps.lease_owner(now) == self.owner:
+                    mine.append(payload)
+                else:
+                    self.external[payload["_jkey"]] = payload
+        self.sup.narrow(attempt, [p["index"] for p in mine])
         return mine
 
     def _poll_external(self) -> None:
@@ -658,304 +596,110 @@ class _Supervisor:
                 continue
             if ps.settled:
                 self.restore(payload, ps)
-                self.note_settled()
+                self.settled += 1
                 del self.external[key]
             elif ps.lease_owner(now) is None:
                 del self.external[key]
                 self.durability["lease_reclaims"] += 1
-                self.met.counter("dse.lease_reclaims").inc()
-                self.queue.append(_Chunk([payload]))
+                self.sup.add([payload["index"]])
 
     # -- settlement --------------------------------------------------------
-    def _settle(self, chunk: _Chunk, payload: Dict, out: Dict) -> None:
-        if out.get("ok"):
-            doc = self.settle_ok(payload, out, chunk.attempt)
-            if self.journal is not None:
-                self.journal.record_done(payload["_jkey"], self.owner,
-                                         doc)
-            self.note_settled()
-        else:
-            self._settle_error(chunk, payload, out.get("error") or {})
-
-    def _settle_error(self, chunk: _Chunk, payload: Dict,
-                      doc: Dict) -> None:
-        family = doc.get("family") or error_family(doc.get("error", ""))
-        if family == "transient" and \
-                chunk.attempt < self.retry.max_attempts:
-            if self.journal is not None:
-                self.journal.record_error(payload["_jkey"], self.owner,
-                                          chunk.attempt, doc,
-                                          final=False)
-            self._requeue(payload, chunk.attempt + 1,
-                          suspect=chunk.suspect)
-            return
-        self.settle_fail(payload, doc, chunk.attempt)
-        if self.journal is not None:
-            self.journal.record_error(payload["_jkey"], self.owner,
-                                      chunk.attempt, doc, final=True)
-        self.note_settled()
-
-    def _requeue(self, payload: Dict, attempt: int,
-                 suspect: bool = False) -> None:
-        self.durability["retries"] += 1
-        self.met.counter("dse.retries").inc()
-        ready = time.monotonic() + self.retry.delay(attempt - 1)
-        self.delayed.append((ready, _Chunk([payload], attempt,
-                                           suspect)))
-
-    def _quarantine(self, payload: Dict, deaths: int) -> None:
-        index = payload["index"]
-        exc = PoisonPointError(
-            f"point {index} quarantined: evaluating it killed "
-            f"{deaths} worker process(es)", index=index, deaths=deaths)
-        doc = error_document(exc)
-        doc["family"] = "poison"
-        doc["deaths"] = deaths
-        self.durability["quarantined"] += 1
-        self.met.counter("dse.quarantined").inc()
-        self.settle_fail(payload, doc, self.deaths.get(
-            payload.get("_jkey") or f"i{index}", deaths))
-        if self.journal is not None:
-            self.journal.record_quarantine(payload["_jkey"], deaths,
-                                           doc)
-        self.note_settled()
-
-    def _note_death(self) -> None:
-        """One worker-process death (pool break) — counted per break
-        event, not per chunk it took down."""
-        self.durability["worker_deaths"] += 1
-        self.met.counter("dse.worker_deaths").inc()
-
-    def _dead(self, chunk: _Chunk, timed_out: bool) -> None:
-        """A chunk's worker died under it (or we killed the pool for a
-        deadline): classify each point and retry / quarantine / fail."""
-        if timed_out:
-            doc = {"error": "SupervisorTimeout",
-                   "message": f"point exceeded the supervisor's "
-                              f"{self.point_timeout}s wall-clock "
-                              f"deadline (worker killed)",
-                   "exit_code": 6, "family": "transient"}
-            self.durability["timeouts"] += len(chunk.payloads)
-            self.met.counter("dse.timeouts").inc(len(chunk.payloads))
-            for payload in chunk.payloads:
-                self._settle_error(chunk, payload, dict(doc))
-            return
-        for payload in chunk.payloads:
-            key = payload.get("_jkey") or f"i{payload['index']}"
-            self.deaths[key] = self.deaths.get(key, 0) + 1
-            if self.deaths[key] >= 2:
-                self._quarantine(payload, self.deaths[key])
-            elif chunk.attempt < self.retry.max_attempts:
-                # Suspects re-run in isolation (one at a time, alone
-                # in the pool) so the next death names its killer.
-                self.durability["retries"] += 1
-                self.met.counter("dse.retries").inc()
-                ready = time.monotonic() + \
-                    self.retry.delay(chunk.attempt)
-                self.delayed.append(
-                    (ready, _Chunk([payload], chunk.attempt + 1,
-                                   suspect=True)))
-            else:
-                doc = {"error": "WorkerDeath",
-                       "message": "worker process died while "
-                                  "evaluating this point",
-                       "exit_code": 1, "family": "transient",
-                       "deaths": self.deaths[key]}
-                self.settle_fail(payload, doc, chunk.attempt)
+    def _returned(self, attempt: Attempt, future: Future) -> None:
+        exc = future.exception()
+        outs = future.result() if exc is None else \
+            [{"error": unexpected_error_document(exc)}] * len(
+                attempt.tries)
+        for (index, tried), out in zip(list(attempt.tries.items()),
+                                       outs):
+            payload = self.payloads[index]
+            error = None if out.get("ok") else \
+                dict(out.get("error") or {})
+            if not self.sup.settle(attempt, index, error):
                 if self.journal is not None:
+                    self.journal.record_error(payload["_jkey"],
+                                              self.owner, tried, error,
+                                              final=False)
+            elif error is None:
+                doc = self.settle_ok(payload, out, tried)
+                if self.journal is not None:
+                    self.journal.record_done(payload["_jkey"],
+                                             self.owner, doc)
+                self.settled += 1
+            else:
+                self._failed([(index, tried, error)])
+
+    def _failed(self, failures: List[Failure]) -> None:
+        for index, tried, doc in failures:
+            payload = self.payloads[index]
+            self.settle_fail(payload, doc, tried)
+            if self.journal is not None:
+                if doc["error"] == "PoisonPointError":
+                    self.journal.record_quarantine(
+                        payload["_jkey"], doc["deaths"], doc)
+                else:
                     self.journal.record_error(
-                        payload["_jkey"], self.owner, chunk.attempt,
-                        doc, final=True)
-                self.note_settled()
+                        payload["_jkey"], self.owner, tried, doc,
+                        final=True)
+            self.settled += 1
 
-    # -- scheduling --------------------------------------------------------
-    def _promote_delayed(self) -> None:
-        now = time.monotonic()
-        still = []
-        for ready, chunk in self.delayed:
-            if ready <= now:
-                (self.suspects if chunk.suspect
-                 else self.queue).append(chunk)
-            else:
-                still.append((ready, chunk))
-        self.delayed = still
-
-    def _next_wait(self) -> float:
-        if not self.delayed:
-            return 0.25
-        now = time.monotonic()
-        return max(0.01, min(0.25,
-                             min(r for r, _ in self.delayed) - now))
-
-    def _idle(self) -> bool:
-        return not (self.queue or self.delayed or self.suspects
-                    or self.external)
-
-    # -- serial driver -----------------------------------------------------
-    def run_serial(self) -> None:
-        """In-process evaluation (workers <= 1): same retry and
-        journal semantics, no pool to die."""
-        while not self._idle():
-            self._check_interrupt()
-            self._promote_delayed()
-            self._poll_external()
-            chunk = None
-            if self.suspects:
-                chunk = self.suspects.popleft()
-            elif self.queue:
-                chunk = self.queue.popleft()
-            if chunk is None:
-                time.sleep(min(0.05, self._next_wait()))
-                continue
-            payloads = self._claim(chunk)
-            if not payloads:
-                continue
-            chunk.payloads = payloads
-            for payload, out in zip(payloads,
-                                    _evaluate_group(
-                                        _sendable(payloads))):
-                self._settle(chunk, payload, out)
-
-    # -- pooled driver -----------------------------------------------------
-    def run_pooled(self) -> None:
-        pool: Optional[ProcessPoolExecutor] = None
-        inflight: Dict = {}   # future -> (chunk, start_monotonic)
-        pool_size = min(self.workers,
-                        max(1, len(self.queue) + len(self.suspects)))
+    # -- the loop ----------------------------------------------------------
+    def run(self) -> None:
+        """One loop for both modes: a process pool with a 2x-pool-size
+        in-flight window, or (``workers <= 1``) the inline executor
+        one chunk at a time, checking for interrupts between chunks."""
+        pool = _InlineExecutor() if self.inline else None
+        window = 1 if self.inline else 2 * self.pool_size
+        inflight: Dict[Future, Attempt] = {}
         try:
-            while not self._idle() or inflight:
-                try:
-                    self._check_interrupt(pool)
-                except SweepInterrupted:
-                    pool = _drop_pool(pool)
-                    raise
-                self._promote_delayed()
+            while not self.sup.idle or self.external:
+                self._check_interrupt(pool)
                 self._poll_external()
-                pool, broken_at_submit = self._submit_ready(
-                    pool, pool_size, inflight)
-                if not inflight:
-                    if not self._idle():
-                        time.sleep(min(0.05, self._next_wait()))
-                    continue
-                done, _pending = wait(set(inflight),
-                                      timeout=self._wait_timeout(
-                                          inflight),
-                                      return_when=FIRST_COMPLETED)
-                broken = broken_at_submit
-                for future in done:
-                    chunk, _t0 = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        for payload, out in zip(chunk.payloads,
-                                                future.result()):
-                            self._settle(chunk, payload, out)
-                    elif isinstance(exc, BrokenProcessPool):
-                        if not broken:
-                            broken = True
-                            self._note_death()
-                        self._dead(chunk, timed_out=False)
-                    else:
-                        doc = unexpected_error_document(exc)
-                        for payload in chunk.payloads:
-                            self._settle_error(chunk, payload,
-                                               dict(doc))
-                if self.point_timeout is not None and inflight:
-                    overdue = [
-                        (future, chunk)
-                        for future, (chunk, t0) in inflight.items()
-                        if time.monotonic() - t0 >
-                        self.point_timeout * len(chunk.payloads)]
-                    if overdue:
-                        _kill_pool(pool)
-                        overdue_set = {future for future, _ in overdue}
-                        for future, chunk in overdue:
-                            inflight.pop(future)
-                            self._dead(chunk, timed_out=True)
-                        # Innocent bystanders of our own kill: re-run
-                        # at the same attempt, no death on their record.
-                        for future, (chunk, _t0) in inflight.items():
-                            if future not in overdue_set:
-                                (self.suspects if chunk.suspect
-                                 else self.queue).append(chunk)
-                        inflight.clear()
-                        pool = _drop_pool(pool)
+                broken = False
+                while len(inflight) < window:
+                    attempt = self.sup.take()
+                    if attempt is None:
+                        break
+                    payloads = self._claim(attempt)
+                    if not payloads:
                         continue
-                if broken:
-                    for future, (chunk, _t0) in list(inflight.items()):
-                        self._dead(chunk, timed_out=False)
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=self.pool_size)
+                    try:
+                        future = pool.submit(_evaluate_group,
+                                             _sendable(payloads))
+                    except BrokenProcessPool:
+                        self.sup.release(attempt)
+                        broken = True
+                        break
+                    inflight[future] = attempt
+                if not inflight and not broken:
+                    time.sleep(self._wait_s())
+                    continue
+                done, _ = wait(set(inflight), timeout=self._wait_s(),
+                               return_when=FIRST_COMPLETED)
+                for future in done:
+                    attempt = inflight.pop(future)
+                    if isinstance(future.exception(),
+                                  BrokenProcessPool):
+                        broken = True
+                    elif self.sup.returned(attempt):
+                        self._returned(attempt, future)
+                overdue = self.sup.overdue()
+                if broken or overdue:
+                    pool = drop_pool(pool, kill=True)
                     inflight.clear()
-                    pool = _drop_pool(pool)
+                    self._failed(self.sup.broke() if broken else
+                                 self.sup.expire(overdue, kill=True))
         finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            drop_pool(pool)
 
-    def _submit_ready(self, pool, pool_size, inflight):
-        """Submit work respecting the isolation rule: while suspects
-        exist, exactly one runs, alone in the pool."""
-        broken = False
-        while True:
-            if self.suspects:
-                if inflight:
-                    break
-                chunk = self.suspects.popleft()
-            elif self.queue and len(inflight) < pool_size * 2:
-                chunk = self.queue.popleft()
-            else:
-                break
-            payloads = self._claim(chunk)
-            if not payloads:
-                continue
-            chunk.payloads = payloads
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=pool_size)
-            try:
-                future = pool.submit(_evaluate_group,
-                                     _sendable(payloads))
-            except BrokenProcessPool:
-                if not broken:
-                    broken = True
-                    self._note_death()
-                self.queue.appendleft(chunk)
-                pool = _drop_pool(pool)
-                break
-            inflight[future] = (chunk, time.monotonic())
-            if chunk.suspect:
-                break
-        return pool, broken
-
-    def _wait_timeout(self, inflight) -> float:
-        timeout = self._next_wait()
-        if self.point_timeout is not None:
-            now = time.monotonic()
-            for chunk, t0 in inflight.values():
-                deadline = t0 + self.point_timeout \
-                    * len(chunk.payloads)
-                timeout = min(timeout, max(0.01, deadline - now))
+    def _wait_s(self) -> float:
+        due = self.sup.wait_s()
+        timeout = 0.25 if due is None else max(0.01, min(0.25, due))
         if self.external:
             timeout = min(timeout, 0.2)
         return timeout
-
-
-def _kill_pool(pool) -> None:
-    """Forcibly terminate a pool's worker processes (best effort —
-    ``shutdown`` alone would wait for running tasks)."""
-    if pool is None:
-        return
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
-        try:
-            proc.terminate()
-        except (OSError, AttributeError):
-            pass
-
-
-def _drop_pool(pool):
-    if pool is not None:
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # noqa: BLE001 - already broken
-            pass
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1295,31 +1039,27 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
     for chunk in chunks:
         group_sizes.observe(len(chunk))
 
-    sup = _Supervisor(
+    runner = _SweepRunner(
         chunks=chunks, workers=workers, retry=retry,
         point_timeout=point_timeout, journal=journal,
         lease_ttl=lease_ttl, settle_ok=settle_ok,
-        settle_fail=settle_fail, restore=restore, met=met)
-    sup._settled = len(results)
-    sup._total = len(planned)
+        settle_fail=settle_fail, restore=restore,
+        settled=len(results), total=len(planned))
 
-    saved_signals = sup.install_signals() if journal is not None \
+    saved_signals = runner.install_signals() if journal is not None \
         else {}
     try:
         with telemetry.tracer().span("dse.explore", category="dse",
                                      workload=w.name,
                                      points=len(planned),
                                      workers=workers) as _sp:
-            if len(pending) <= 1 or workers <= 1:
-                sup.run_serial()
-            else:
-                sup.run_pooled()
+            runner.run()
             if cache is not None:
                 cache.save_index()
                 for key, n in cache.counts.items():
                     cache_counts[key] = cache_counts.get(key, 0) + n
 
-            durability = dict(sup.durability)
+            durability = dict(runner.durability)
             durability["resumed"] = resumed
             report = ExploreReport(
                 workload=w.name, variant=variant, template=template,
@@ -1350,6 +1090,8 @@ def _execute(*, w, variant, template, objectives, sim, base_sim,
         met.counter("dse.points.resumed").inc(c["resumed"])
         for key, n in report.cache.items():
             met.counter(f"dse.cache.{key}").inc(n)
+        for key in DURABILITY_KEYS[:-1]:   # "resumed" is counted above
+            met.counter(f"dse.{key}").inc(durability[key])
         for p in report.points:
             if p.fingerprint:
                 telemetry.note_fingerprint(p.fingerprint)

@@ -15,12 +15,15 @@ loops drain the queue into a supervised executor pool:
   arguments) into one ``simulate_batch`` lane-group, up to
   ``max_batch`` lanes: one front end and one compiled circuit for
   the whole group.
-* **Supervision** — PR 8's machinery, re-aimed at serving: transient
-  failures retry with :class:`~repro.dse.engine.RetryPolicy` backoff,
-  a ``BrokenProcessPool`` respawns the pool and re-enqueues the
-  group's members as singletons, and a request that kills workers
-  twice is quarantined with a ``PoisonPointError`` document instead
-  of taking the daemon down with it.
+* **Supervision** — the queue *is* a :class:`repro.supervise.
+  Supervisor`, the policy DSE sweeps run under too: transient
+  failures retry with backoff, a worker death re-runs every request
+  that was in flight isolated (alone in the pool), a request implicated
+  in two deaths is quarantined with a ``PoisonPointError`` document,
+  and ``--job-timeout`` bounds each attempt at ``timeout x lanes``.
+  This module only reports what the pool did.  A pool generation
+  number makes one break one respawn and one counted death, however
+  many worker loops see the ``BrokenProcessPool``.
 
 Scheduling counters are plain dict state (always on — ``report``
 must work without telemetry); when telemetry is enabled they are
@@ -31,17 +34,18 @@ appends one ledger record.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .. import telemetry
-from ..dse.engine import (RetryPolicy, _drop_pool, _kill_pool,
-                          default_workers)
-from ..errors import PoisonPointError, ReproError, error_document
+from ..dse.engine import default_workers
+from ..errors import ReproError, error_document
+from ..supervise import (COUNT_KEYS as SUPERVISION_KEYS, Attempt,
+                         Failure, RetryPolicy, Supervisor, drop_pool)
 from . import worker as _worker
 from .protocol import event_bytes
 
@@ -88,8 +92,13 @@ class Job:
         return (self.started or time.monotonic()) - self.enqueued
 
 
+def _lane_group(job: Job) -> Optional[str]:
+    """Coalescing key: jobs sharing it may ride one lane-group."""
+    return job.group if job.coalescible else None
+
+
 class Scheduler:
-    """Owns the queue, the dedup table, and the executor pool."""
+    """Owns the dedup table, the supervised queue, and the pool."""
 
     def __init__(self, *, workers: Optional[int] = None,
                  executor: str = "process", max_batch: int = 8,
@@ -103,15 +112,16 @@ class Scheduler:
         self.workers = workers or default_workers()
         self.executor_kind = executor
         self.max_batch = max(1, max_batch)
-        self.retry = retry or RetryPolicy()
-        self.job_timeout = job_timeout
         self.counters: Dict[str, int] = dict.fromkeys(COUNTER_KEYS, 0)
         self.started_at = time.time()
-        self._queue: Deque[Job] = deque()
+        self._sup = Supervisor(retry or RetryPolicy(), job_timeout,
+                               counts=self.counters)
         self._inflight: Dict[str, Job] = {}
-        self._wakeup: Optional[asyncio.Condition] = None
+        #: Set whenever work may have become available.  Loops take from
+        #: the supervisor without awaiting, so no lock is needed.
+        self._wakeup: Optional[asyncio.Event] = None
         self._pool = None
-        self._pool_lock: Optional[asyncio.Lock] = None
+        self._generation = 0    # bumped on every pool respawn
         self._tasks: List[asyncio.Task] = []
         self._closing = False
         self._ledger = None
@@ -121,8 +131,7 @@ class Scheduler:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        self._wakeup = asyncio.Condition()
-        self._pool_lock = asyncio.Lock()
+        self._wakeup = asyncio.Event()
         self._pool = self._new_pool()
         self._tasks = [
             asyncio.create_task(self._worker_loop(i),
@@ -135,8 +144,17 @@ class Scheduler:
         return ThreadPoolExecutor(max_workers=self.workers,
                                   thread_name_prefix="serve")
 
+    def _respawn(self) -> None:
+        """Replace the pool (its workers are dead or hung); no await,
+        so no worker loop can see a half-swapped pool."""
+        self._generation += 1
+        drop_pool(self._pool, kill=True)
+        self._pool = self._new_pool()
+
     async def close(self) -> None:
         self._closing = True
+        if self._wakeup is not None:
+            self._wakeup.set()
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -145,9 +163,8 @@ class Scheduler:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
         self._tasks = []
-        if self.executor_kind == "process":
-            _kill_pool(self._pool)
-        self._pool = _drop_pool(self._pool)
+        self._pool = drop_pool(self._pool,
+                               kill=self.executor_kind == "process")
         # Fail anything still queued so no subscriber hangs.
         shutdown_doc = error_document(
             ReproError("server shut down before this request ran"))
@@ -173,20 +190,19 @@ class Scheduler:
         job = Job(request, doc if doc is not None
                   else request.to_json())
         self._inflight[key] = job
-        self._queue.append(job)
+        self._sup.add([job])
         self._gauge_depth()
-        async with self._wakeup:
-            self._wakeup.notify()
+        self._wakeup.set()
         return job
 
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return self._sup.queued()
 
     def snapshot(self) -> Dict:
         """The ``report`` verb's scheduler section."""
         return {
             "counters": dict(self.counters),
-            "queue_depth": len(self._queue),
+            "queue_depth": self._sup.queued(),
             "inflight": sum(1 for j in self._inflight.values()
                             if j.state != "done"),
             "workers": self.workers,
@@ -195,23 +211,23 @@ class Scheduler:
             "uptime_s": round(time.time() - self.started_at, 3),
         }
 
-    async def drain(self) -> None:
-        """Wait until every accepted request has finalized (tests)."""
-        while any(not j.done.is_set()
-                  for j in self._inflight.values()) or self._queue:
-            await asyncio.sleep(0.01)
-
     # -- the worker loops --------------------------------------------------
     async def _worker_loop(self, slot: int) -> None:
-        while True:
-            async with self._wakeup:
-                while not self._queue:
-                    await self._wakeup.wait()
-                job = self._queue.popleft()
-                group = self._coalesce(job)
+        # ``_closing`` is checked as well as cancellation: a wait_for
+        # whose inner await completes as the task is cancelled may
+        # swallow the CancelledError (Python < 3.12).
+        while not self._closing:
+            attempt = self._sup.take(_lane_group, self.max_batch)
+            if attempt is None:
+                self._wakeup.clear()
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(self._wakeup.wait(),
+                                           self._sup.wait_s())
+                continue
             self._gauge_depth()
+            group = list(attempt.tries)
             try:
-                await self._run_group(group)
+                await self._run(attempt, group)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - loop must live
@@ -219,33 +235,26 @@ class Scheduler:
                     else {"error": type(exc).__name__,
                           "message": str(exc), "exit_code": 1}
                 doc["family"] = "deterministic"
+                self._sup.returned(attempt)
                 for member in group:
                     if not member.done.is_set():
                         self._finalize_error(member, doc)
+            for job in group:
+                if not job.done.is_set():
+                    job.state = "queued"
+            # A finished attempt may unblock an isolated retry.
+            self._wakeup.set()
 
-    def _coalesce(self, job: Job) -> List[Job]:
-        """Drain queued jobs compatible with ``job`` into one
-        lane-group (caller holds the wakeup lock)."""
-        group = [job]
-        if not job.coalescible or self.max_batch < 2:
-            return group
-        keep: Deque[Job] = deque()
-        while self._queue and len(group) < self.max_batch:
-            other = self._queue.popleft()
-            if other.coalescible and other.group == job.group:
-                group.append(other)
-            else:
-                keep.append(other)
-        self._queue.extendleft(reversed(keep))
-        return group
-
-    async def _run_group(self, group: List[Job]) -> None:
+    async def _run(self, attempt: Attempt, group: List[Job]) -> None:
         for job in group:
             job.state = "running"
             job.started = time.monotonic()
-            job.attempts += 1
+            job.attempts = attempt.tries[job]
+            job.deaths = self._sup.deaths.get(job, 0)
         loop = asyncio.get_running_loop()
         docs = [job.doc for job in group]
+        generation = self._generation
+        before = {k: self.counters[k] for k in SUPERVISION_KEYS}
         try:
             if len(group) == 1:
                 future = loop.run_in_executor(
@@ -253,18 +262,29 @@ class Scheduler:
             else:
                 future = loop.run_in_executor(
                     self._pool, _worker.run_group_payload, docs)
-            if self.job_timeout:
-                outs = await asyncio.wait_for(future, self.job_timeout)
-            else:
-                outs = await future
+            outs = await asyncio.wait_for(future,
+                                          self._sup.budget(attempt))
         except BrokenProcessPool:
-            await self._handle_deaths(group)
-            return
+            # Every loop with work in the broken pool lands here; the
+            # first one respawns it and charges all of them at once.
+            if generation == self._generation:
+                self._respawn()
+                self._fail(self._sup.broke())
         except asyncio.TimeoutError:
-            await self._handle_timeout(group, future)
-            return
-        if len(group) == 1:
-            outs = [outs]
+            kill = self.executor_kind == "process" \
+                and generation == self._generation
+            if kill:    # a hung worker process cannot be cancelled
+                self._respawn()
+            self._fail(self._sup.expire([attempt], kill=kill))
+        else:
+            if self._sup.returned(attempt):
+                self._returned(attempt, group,
+                               [outs] if len(group) == 1 else outs)
+        for key, n in before.items():
+            self._mirror(f"serve.{key}", self.counters[key] - n)
+
+    def _returned(self, attempt: Attempt, group: List[Job],
+                  outs: List[Dict]) -> None:
         self.counters["executions"] += 1
         if len(group) > 1:
             self.counters["batches"] += 1
@@ -278,80 +298,15 @@ class Scheduler:
             if out.get("meta", {}).get("lru") == "hit":
                 self.counters["lru_hits"] += 1
                 self._mirror("serve.lru.hits")
-            error = out.get("error") or {}
-            if out.get("status") == "error" \
-                    and error.get("family") == "transient" \
-                    and job.attempts < self.retry.max_attempts:
-                await self._requeue(job)
-            else:
+            error = None if out.get("status") == "ok" \
+                else out.get("error") or {}
+            if self._sup.settle(attempt, job, error):
                 self._finalize(job, out)
 
-    # -- supervision -------------------------------------------------------
-    async def _handle_deaths(self, group: List[Job]) -> None:
-        """The pool broke under this group: respawn it, quarantine
-        repeat offenders, retry the rest as singletons."""
-        async with self._pool_lock:
-            _kill_pool(self._pool)
-            self._pool = _drop_pool(self._pool)
-            self._pool = self._new_pool()
-        self.counters["worker_deaths"] += 1
-        self._mirror("serve.worker.deaths")
-        for job in group:
-            job.deaths += 1
-            if job.deaths >= 2:
-                exc = PoisonPointError(
-                    f"request {job.key[:12]} killed {job.deaths} "
-                    f"worker(s); quarantined", deaths=job.deaths)
-                doc = error_document(exc)
-                doc["family"] = "poison"
-                doc["deaths"] = job.deaths
-                self.counters["quarantined"] += 1
-                self._mirror("serve.quarantined")
-                self._finalize_error(job, doc)
-            else:
-                await self._requeue(job, singleton=True)
-
-    async def _handle_timeout(self, group: List[Job], future) -> None:
-        """Supervisor-side deadline fired.  Process pools are killed
-        and respawned (the hung worker cannot be cancelled); thread
-        pools can only abandon the future."""
-        self.counters["timeouts"] += 1
-        self._mirror("serve.timeouts")
-        if self.executor_kind == "process":
-            async with self._pool_lock:
-                _kill_pool(self._pool)
-                self._pool = _drop_pool(self._pool)
-                self._pool = self._new_pool()
-        doc = {"error": "SupervisorTimeout",
-               "message": f"request exceeded the server deadline "
-                          f"({self.job_timeout:g}s)",
-               "exit_code": 6, "family": "transient"}
-        for job in group:
-            if job.attempts < self.retry.max_attempts:
-                await self._requeue(job, singleton=True)
-            else:
-                self._finalize_error(job, doc)
-
-    async def _requeue(self, job: Job, *,
-                       singleton: bool = False) -> None:
-        self.counters["retries"] += 1
-        self._mirror("serve.retries")
-        job.state = "queued"
-        if singleton:
-            # A request that broke a shared group retries alone so it
-            # cannot take innocent lane-mates down a second time.
-            job.coalescible = False
-        delay = self.retry.delay(job.attempts)
-
-        async def _delayed():
-            await asyncio.sleep(delay)
-            if job.done.is_set():
-                return
-            self._queue.append(job)
-            async with self._wakeup:
-                self._wakeup.notify()
-
-        asyncio.get_running_loop().create_task(_delayed())
+    def _fail(self, failures: List[Failure]) -> None:
+        for job, _attempt, doc in failures:
+            job.deaths = doc.get("deaths", job.deaths)
+            self._finalize_error(job, doc)
 
     # -- finalization ------------------------------------------------------
     def _finalize(self, job: Job, out: Dict) -> None:
@@ -388,13 +343,13 @@ class Scheduler:
 
     # -- telemetry glue ----------------------------------------------------
     def _mirror(self, name: str, n: int = 1) -> None:
-        if telemetry.enabled():
+        if n and telemetry.enabled():
             telemetry.metrics().counter(name).inc(n)
 
     def _gauge_depth(self) -> None:
         if telemetry.enabled():
             telemetry.metrics().gauge(
-                "serve.queue.depth").set(len(self._queue))
+                "serve.queue.depth").set(self._sup.queued())
 
     def _record(self, job: Job) -> None:
         """One ledger record + one span per finalized request."""

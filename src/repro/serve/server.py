@@ -36,14 +36,21 @@ from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..api.requests import EvaluationRequest
-from ..dse.engine import (METRICS, PointResult, RetryPolicy,
-                          pareto_frontier, plan_points)
+from ..dse.engine import (METRICS, PointResult, pareto_frontier,
+                          plan_points)
 from ..errors import ReproError, error_document
+from ..supervise import RetryPolicy
 from .protocol import (PROTOCOL, ProtocolError, event_bytes,
                        read_request, response_header, verb_of)
 from .scheduler import Scheduler
 
 DEFAULT_HEARTBEAT_S = 2.0
+
+#: Seconds a client gets to deliver its whole request (header and
+#: body).  A stalled or hostile client is answered 408 and dropped
+#: instead of holding a connection open forever; a fixed bound, not an
+#: option.
+READ_DEADLINE_S = 30.0
 
 
 class ServeServer:
@@ -116,7 +123,13 @@ class ServeServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, body = await read_request(reader)
+                method, path, body = await asyncio.wait_for(
+                    read_request(reader), READ_DEADLINE_S)
+            except asyncio.TimeoutError:
+                await self._reject(writer, ProtocolError(
+                    f"request not received within {READ_DEADLINE_S:g}s"),
+                    408, "Request Timeout")
+                return
             except ProtocolError as exc:
                 await self._reject(writer, exc)
                 return
@@ -149,8 +162,10 @@ class ServeServer:
                 writer.close()
                 await writer.wait_closed()
 
-    async def _reject(self, writer, exc: ProtocolError) -> None:
-        writer.write(response_header(400, "Bad Request"))
+    async def _reject(self, writer, exc: ProtocolError,
+                      status: int = 400,
+                      reason: str = "Bad Request") -> None:
+        writer.write(response_header(status, reason))
         await self._event(writer, {"event": "error",
                                    **error_document(exc)})
 

@@ -27,6 +27,7 @@ from ..api import (EvaluationRequest, Pipeline, batch_evaluation_docs,
 from ..api.requests import EVAL_SCHEMA
 from ..errors import (ReproError, error_document, error_family,
                       family_for, unexpected_error_document)
+from ..supervise import spend_flag
 
 #: Chaos-injection env var (test/CI only): ``{"kill_request":
 #: {"substr": ..., "flag": ...}}`` SIGKILLs the worker the first time
@@ -119,16 +120,6 @@ def _pipeline_for(request: EvaluationRequest) -> Tuple[Pipeline, str]:
     return pipe, "hit"
 
 
-def _spend_flag(flag: Optional[str]) -> bool:
-    if not flag:
-        return True
-    if os.path.exists(flag):
-        return False
-    with open(flag, "w"):
-        pass
-    return True
-
-
 def _maybe_chaos(request: EvaluationRequest) -> None:
     spec = os.environ.get(CHAOS_ENV)
     if not spec:
@@ -140,7 +131,7 @@ def _maybe_chaos(request: EvaluationRequest) -> None:
     kill = doc.get("kill_request") or {}
     substr = kill.get("substr")
     if substr and substr in request.describe() \
-            and _spend_flag(kill.get("flag")):
+            and spend_flag(kill.get("flag")):
         os.kill(os.getpid(), signal.SIGKILL)
 
 

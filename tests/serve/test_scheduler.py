@@ -4,10 +4,10 @@ supervision, and the per-request ledger.
 These tests drive the :class:`~repro.serve.scheduler.Scheduler`
 directly inside one event loop.  Determinism trick: after
 ``scheduler.start()`` the worker tasks exist but have not yet run, and
-``submit()`` never yields to them (uncontended asyncio locks acquire
-on the fast path), so every request submitted before the first
-``await`` on a job is *guaranteed* to be queued together — dedup and
-coalescing decisions become exact counter assertions, not races.
+``submit()`` never yields to them (it awaits nothing), so every
+request submitted before the first ``await`` on a job is *guaranteed*
+to be queued together — dedup and coalescing decisions become exact
+counter assertions, not races.
 
 Worker-death chaos reuses the serve worker's ``REPRO_SERVE_CHAOS``
 env hook (set before the pool spawns, inherited by its processes),
@@ -327,6 +327,33 @@ class TestWorkerDeath:
 
         run(go())
 
+    def test_innocent_sharing_the_broken_pool_is_not_quarantined(
+            self, monkeypatch):
+        # Two workers: the innocent request runs beside the killer, so
+        # the first break charges both.  Each then retries alone; only
+        # the killer dies a second time.
+        self._chaos(monkeypatch, substr="fib")  # kills every time
+
+        async def go():
+            sched = Scheduler(workers=2, executor="process",
+                              retry=FAST_RETRY)
+            await sched.start()
+            poison = await sched.submit(
+                EvaluationRequest(workload="fib"))
+            innocent = await sched.submit(
+                EvaluationRequest(workload="gemm"))
+            await _finish(sched, [poison, innocent])
+            assert innocent.response_doc["status"] == "ok", \
+                innocent.response_doc["error"]
+            assert poison.response_doc["error"]["error"] == \
+                "PoisonPointError"
+            assert sched.counters["quarantined"] == 1
+            # two pool breaks (shared, then the killer alone), each
+            # counted once however many worker loops saw it
+            assert sched.counters["worker_deaths"] == 2
+
+        run(go())
+
 
 class TestLifecycle:
     def test_unknown_executor_rejected(self):
@@ -398,3 +425,39 @@ class TestLedger:
         assert rec["status"] == "ok"
         assert rec["annotations"]["request_key"] == job.key
         assert rec["annotations"]["subscribers"] == 3
+
+
+class TestTelemetryMirror:
+    def test_counters_mirror_into_metrics(self, monkeypatch):
+        from repro import telemetry
+
+        real = worker_mod.run_payload
+        calls = {"n": 0}
+
+        def flaky_once(doc):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                return {"schema": EVAL_SCHEMA, "status": "error",
+                        "error": {"error": "OSError", "exit_code": 1,
+                                  "message": "synthetic flake",
+                                  "family": "transient"}}
+            return real(doc)
+
+        monkeypatch.setattr(worker_mod, "run_payload", flaky_once)
+
+        async def go():
+            sched = Scheduler(workers=1, executor="thread",
+                              retry=FAST_RETRY)
+            await sched.start()
+            job = await sched.submit(EvaluationRequest(workload="fib"))
+            await _finish(sched, [job])
+
+        telemetry.enable()
+        try:
+            run(go())
+            met = telemetry.metrics()
+            assert met.get("serve.retries").value() == 1
+            assert met.get("serve.ok").value() == 1
+            assert met.get("serve.queue.depth").value() == 0
+        finally:
+            telemetry.disable()

@@ -40,6 +40,7 @@ from repro.serve import (
     response_payload_bytes,
     start_in_thread,
 )
+from repro.serve import server as server_mod
 from repro.serve.protocol import event_bytes, response_header
 
 SRC = """
@@ -264,6 +265,21 @@ class TestErrors:
                 reply += chunk
         assert reply.startswith(b"HTTP/1.0 400 Bad Request")
         assert b"Content-Length" in reply
+
+    def test_stalled_partial_header_times_out_and_closes(
+            self, server, monkeypatch):
+        monkeypatch.setattr(server_mod, "READ_DEADLINE_S", 0.3,
+                            raising=False)
+        _family, addr = parse_address(server().address)
+        # The socket timeout bounds the test: a daemon without a read
+        # deadline never answers and recv() raises instead.
+        with socket.create_connection(addr, timeout=10) as s:
+            s.sendall(b"POST /v1/health HTTP/1.0\r\nContent-Le")
+            reply = b""
+            while chunk := s.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.0 408 Request Timeout")
+        assert b"ProtocolError" in reply
 
     def test_version_skew_rejected_loudly(self, server):
         client = client_for(server())
