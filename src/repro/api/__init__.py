@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .. import telemetry
 from ..errors import (ReproError, WorkloadError, error_document,
                       family_for)
+from ..core.lanes import lane_fingerprint
 from ..frontend import compile_minic, translate_module
 from ..frontend.interp import Interpreter, Memory
 from ..frontend.ir import Module
@@ -223,11 +224,13 @@ class Pipeline:
         """Simulate the circuit; verify behavior unless ``check=False``.
 
         Workload pipelines default ``args``/``memory`` from the
-        workload and verify against its golden data.  Source/module
-        pipelines snapshot the initial memory image and compare the
-        simulated result against the reference interpreter run on the
-        same snapshot.  ``kernel`` ("event" / "dense" / "compiled")
-        overrides the kernel without building a full ``SimParams``.
+        workload and verify against its reference run with the same
+        arguments (:meth:`~repro.workloads.Workload.verify`).
+        Source/module pipelines snapshot the initial memory image and
+        compare the simulated result against the reference interpreter
+        run on the same snapshot.  ``kernel`` ("event" / "dense" /
+        "compiled") overrides the kernel without building a full
+        ``SimParams``.
         """
         if kernel is not None:
             params = replace(params or SimParams(), kernel=kernel)
@@ -240,14 +243,11 @@ class Pipeline:
             if memory is None:
                 memory = Memory(self.module)
             args = args or ()
-        golden: Optional[Memory] = None
-        if check and self.workload is None:
-            golden = Memory(self.module)
-            golden.words[:] = memory.words
+        snapshot = list(memory.words) \
+            if check and self.workload is None else None
         tel = telemetry.tracer()
         with tel.span("pipeline.simulate",
-                      kernel=(params.kernel if params
-                              else "event")) as _sp:
+                      kernel=(params or SimParams()).kernel) as _sp:
             self.sim = simulate(self.circuit, memory, list(args),
                                 params)
             _sp.set(cycles=self.sim.cycles)
@@ -258,25 +258,34 @@ class Pipeline:
         if not check:
             self.verified = None
             return self
+        self.verified = False
         with tel.span("pipeline.verify"):
-            if self.workload is not None:
-                self.workload.verify(memory, self.variant)  # raises
-                self.verified = True
-            else:
-                returned = Interpreter(self.module, golden).run(*args)
-                if returned is None:
-                    expected: List = []
-                elif isinstance(returned, (list, tuple)):
-                    expected = list(returned)
-                else:
-                    expected = [returned]
-                self.verified = (memory.words == golden.words
-                                 and list(self.sim.results) == expected)
-                if not self.verified:
-                    raise WorkloadError(
-                        f"{self.name}: simulated memory/results "
-                        f"diverge from the reference interpreter")
+            self._check_run(memory, args, self.sim.results, snapshot)
+        self.verified = True
         return self
+
+    def _check_run(self, memory: Memory, args: Sequence,
+                   results: Sequence, snapshot: Optional[List]) -> None:
+        """Raise :class:`~repro.errors.WorkloadError` when one run's
+        memory (and, for module pipelines, its results) disagree with
+        the reference: the workload's check for workload pipelines,
+        else the interpreter run on the input ``snapshot``."""
+        if self.workload is not None:
+            self.workload.verify(memory, self.variant)
+            return
+        golden = Memory(self.module)
+        golden.words[:] = snapshot
+        returned = Interpreter(self.module, golden).run(*args)
+        if returned is None:
+            expected: List = []
+        elif isinstance(returned, (list, tuple)):
+            expected = list(returned)
+        else:
+            expected = [returned]
+        if memory.words != golden.words or list(results) != expected:
+            raise WorkloadError(
+                f"{self.name}: simulated memory/results diverge from "
+                f"the reference interpreter")
 
     # -- stage "sim", batched --------------------------------------------
     def evaluate_many(self, args_list: Optional[Sequence[Sequence]] = None,
@@ -293,13 +302,15 @@ class Pipeline:
         (:func:`repro.sim.simulate_batch`); per-lane results and
         memory are bit-identical to N independent runs.
 
-        With ``check=True`` every surviving lane is verified: workload
-        pipelines run the workload golden check per lane, module
-        pipelines re-run the reference interpreter on each lane's
-        input snapshot.  A diverging lane raises
-        :class:`~repro.errors.WorkloadError` naming the lane;
-        otherwise ``BatchResult.verified`` records the per-lane
-        outcomes (failed lanes stay ``False``).
+        With ``check=True`` every surviving lane is verified against
+        a reference run with its own arguments: workload pipelines run
+        the workload check per lane, module pipelines re-run the
+        reference interpreter on each lane's input snapshot.  A
+        diverging lane fails only itself, like a lane whose simulation
+        failed: its result is dropped and ``errors[i]`` carries the
+        error document (with ``lane`` and ``input_fingerprint``).
+        ``BatchResult.verified`` records the per-lane outcomes (failed
+        lanes stay ``False``).
         """
         if kernel is not None:
             params = replace(params or SimParams(), kernel=kernel)
@@ -332,25 +343,17 @@ class Pipeline:
         for i in range(n):
             if batch.results[i] is None:
                 continue
-            mem = memories[i]
-            if self.workload is not None:
-                self.workload.verify(mem, self.variant)  # raises on fail
-            else:
-                golden = Memory(self.module)
-                golden.words[:] = snapshots[i]
-                returned = Interpreter(self.module, golden).run(
-                    *args_list[i])
-                if returned is None:
-                    expected: List = []
-                elif isinstance(returned, (list, tuple)):
-                    expected = list(returned)
-                else:
-                    expected = [returned]
-                if (mem.words != golden.words
-                        or list(batch.results[i].results) != expected):
-                    raise WorkloadError(
-                        f"{self.name}: lane {i} diverges from the "
-                        f"reference interpreter")
+            try:
+                self._check_run(memories[i], args_list[i],
+                                batch.results[i].results, snapshots[i])
+            except WorkloadError as exc:
+                doc = error_document(exc)
+                doc["lane"] = i
+                doc["input_fingerprint"] = lane_fingerprint(
+                    args_list[i], snapshots[i])
+                batch.results[i] = None
+                batch.errors[i] = doc
+                continue
             verified[i] = True
         batch.verified = verified
         return batch

@@ -456,11 +456,12 @@ def cmd_report(args) -> int:
             params=SimParams(batch=args.batch, observe="counters",
                              kernel=args.kernel))
         pipe.synthesize(name=args.workload)
-        first = next((r for r in batch.results if r is not None), None)
-        if first is None:
+        if not batch.ok:
+            lane = next(e for e in batch.errors if e is not None)
             raise ReproError(
-                f"{args.workload}: every batch lane failed "
-                f"({(batch.errors[0] or {}).get('message', '?')})")
+                f"{args.workload}: batch lane {lane.get('lane', '?')} "
+                f"failed ({lane.get('message', '?')})")
+        first = batch.results[0]
         result = RunResult(
             workload=args.workload, config=config,
             cycles=first.cycles, fpga_mhz=pipe.synth.fpga_mhz,
@@ -912,9 +913,9 @@ def cmd_client_explore(args) -> int:
         raise ReproError(
             "client explore needs at least one --grid AXIS=V1,V2,...")
     sim = {}
-    if args.kernel != "event":
+    if args.kernel != SimParams().kernel:
         sim["kernel"] = args.kernel
-    if args.max_cycles != 5_000_000:
+    if args.max_cycles != SimParams().max_cycles:
         sim["max_cycles"] = args.max_cycles
     spec = {"workload": args.workload, "grid": axes,
             "pipeline": args.pipeline, "variant": args.variant,
@@ -988,6 +989,23 @@ def cmd_client_health(args) -> int:
     return 0 if doc.get("status") == "ok" else 1
 
 
+def _kernel_flags(default: str) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--kernel", default=default,
+                       choices=("event", "dense", "compiled"),
+                       help="simulation kernel (default: %(default)s)")
+    return flags
+
+
+def _limit_flags(max_cycles: int) -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--max-cycles", type=int, default=max_cycles)
+    flags.add_argument("--timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="wall-clock watchdog for the simulation")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -1019,22 +1037,12 @@ def build_parser() -> argparse.ArgumentParser:
     variant_flags = argparse.ArgumentParser(add_help=False)
     variant_flags.add_argument("--variant", default="base",
                                help="workload source variant")
-    kernel_flags = argparse.ArgumentParser(add_help=False)
-    kernel_flags.add_argument("--kernel", default="event",
-                              choices=("event", "dense", "compiled"),
-                              help="simulation kernel "
-                                   "(default: event)")
+    kernel_flags = _kernel_flags(SimParams().kernel)
     batch_flags = argparse.ArgumentParser(add_help=False)
     batch_flags.add_argument(
         "--batch", type=int, default=None, metavar="N",
         help="simulate N independent instances in one batched run")
-    limit_flags = argparse.ArgumentParser(add_help=False)
-    limit_flags.add_argument("--max-cycles", type=int,
-                             default=5_000_000)
-    limit_flags.add_argument("--timeout", type=float, default=None,
-                             metavar="SECONDS",
-                             help="wall-clock watchdog for the "
-                                  "simulation")
+    limit_flags = _limit_flags(SimParams().max_cycles)
     fault_flags = argparse.ArgumentParser(add_help=False)
     fault_flags.add_argument("--faults", action="store_true",
                              help="inject a generated fault plan "
@@ -1259,11 +1267,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry(p)
     p.set_defaults(fn=cmd_explore)
 
+    # fuzz keeps the event kernel as its reference and a shorter cycle
+    # budget.  Its flag parents are its own: set_defaults() on a
+    # subparser rewrites the default of a shared parent's action for
+    # every command that uses it.
     p = sub.add_parser(
-        "fuzz", parents=[kernel_flags, limit_flags],
+        "fuzz", parents=[_kernel_flags("event"), _limit_flags(2_000_000)],
         help="LI-conformance fuzzing under seeded fault plans")
-    # fuzz defaults a shorter cycle budget than the other commands.
-    p.set_defaults(max_cycles=2_000_000)
     p.add_argument("--workloads", default="all",
                    help="comma-separated workload names (default: all)")
     p.add_argument("--plans", type=int, default=5, metavar="N",
@@ -1400,7 +1410,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pass-spec template ({axis} substitutes, "
                         "'seg?axis>1' guards)")
     c.add_argument("--objectives", default="time_us,alms")
-    c.add_argument("--max-cycles", type=int, default=5_000_000)
+    c.add_argument("--max-cycles", type=int,
+                   default=SimParams().max_cycles)
     c.add_argument("--no-check", action="store_true")
     c.add_argument("--json", default=None, metavar="FILE",
                    help="write the explore report JSON here")

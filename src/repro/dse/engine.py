@@ -369,7 +369,9 @@ def _evaluate_group(payloads: Sequence[Dict]) -> List[Dict]:
         pipe.optimize(first["pass_spec"])
         canon = canonical_circuit(pipe.circuit)
         fingerprint = circuit_fingerprint(canon)
-        if any(p["sim"].get("kernel") == "compiled" for p in payloads):
+        default_kernel = SimParams().kernel
+        if any(p["sim"].get("kernel", default_kernel) == "compiled"
+               for p in payloads):
             # Seed the compiled-artifact cache under the canonical
             # fingerprint we already paid for, so simulate() reuses it
             # instead of re-fingerprinting the circuit.

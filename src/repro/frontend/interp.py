@@ -54,6 +54,10 @@ class Memory:
             self.base[name] = addr
             addr += glob.size_words
         self.words: List[float] = [0] * (addr + heap_words)
+        #: Root arguments of the run that produced this image (set by
+        #: :func:`repro.sim.simulate` and ``Workload.golden``); None =
+        #: unknown, read as the workload's default arguments.
+        self.root_args: Optional[Tuple] = None
 
     # -- raw access -----------------------------------------------------
     def read(self, addr: int):

@@ -183,8 +183,8 @@ def run_group_payload(docs: Sequence[Dict]) -> List[Dict]:
     ``canonical_key`` (PR-6's per-lane identity carried to the wire).
 
     A front-end failure fails every request in the group with the
-    same error document; per-lane simulation failures fail only their
-    own request.
+    same error document; per-lane simulation and verification failures
+    fail only their own request.
     """
     t0 = time.perf_counter()
     requests: List[Optional[EvaluationRequest]] = []

@@ -32,6 +32,10 @@ class Workload:
     variant_args: Dict[str, Tuple] = field(default_factory=dict)
     notes: str = ""
     _modules: Dict[str, Module] = field(default_factory=dict, repr=False)
+    #: Checked arrays of the reference run with the default arguments,
+    #: per variant: the interpreter runs once per variant per process.
+    _references: Dict[str, Dict[str, List]] = field(default_factory=dict,
+                                                    repr=False)
 
     # ------------------------------------------------------------------
     def module(self, variant: str = "base") -> Module:
@@ -52,20 +56,40 @@ class Workload:
     def args_for(self, variant: str = "base") -> Tuple:
         return self.variant_args.get(variant, self.args)
 
-    def golden(self, variant: str = "base") -> Memory:
-        """Reference memory image after running the interpreter."""
+    def golden(self, variant: str = "base",
+               args: Optional[Sequence] = None) -> Memory:
+        """Reference memory image after running the interpreter with
+        ``args`` (default: the variant's arguments)."""
         mem = self.fresh_memory(variant)
-        Interpreter(self.module(variant), mem).run(*self.args_for(variant))
+        if args is None:
+            args = self.args_for(variant)
+        Interpreter(self.module(variant), mem).run(*args)
+        mem.root_args = tuple(args)
         return mem
 
     def verify(self, memory: Memory, variant: str = "base") -> None:
-        """Raise when ``memory`` disagrees with the golden run."""
-        gold = self.golden(variant)
-        for array in (self.check_arrays
-                      or list(self.module(variant).globals)):
+        """Raise when ``memory`` disagrees with the reference run.
+
+        The reference runs with the root arguments that produced
+        ``memory`` (``memory.root_args``, which the simulator records;
+        the variant's arguments when unset).  The reference for the
+        default arguments is computed once per variant and reused;
+        other arguments get a fresh interpreter run.
+        """
+        args = memory.root_args
+        default = args is None or tuple(args) == tuple(
+            self.args_for(variant))
+        want_arrays = self._references.get(variant) if default else None
+        if want_arrays is None:
+            gold = self.golden(variant, None if default else args)
+            want_arrays = {a: gold.get_array(a) for a in
+                           self.check_arrays
+                           or list(self.module(variant).globals)}
+            if default:
+                self._references[variant] = want_arrays
+        for array, want in want_arrays.items():
             got = memory.get_array(array)
-            want = gold.get_array(array)
-            if not _values_close(got, want):
+            if got != want and not _values_close(got, want):
                 raise WorkloadError(
                     f"{self.name}: array {array!r} mismatch "
                     f"(got {got[:4]}..., want {want[:4]}...)")

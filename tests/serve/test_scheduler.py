@@ -117,6 +117,36 @@ class TestCoalescing:
                 response_payload_bytes(direct.to_json()), \
                 f"coalesced lane for args={req.args} diverged"
 
+    def test_failing_lane_fails_only_itself(self, monkeypatch):
+        # Force lane 1's reference to diverge: lane 0 must still come
+        # back ok, byte-identical to a scalar execute(), and lane 1 with
+        # the verification error a scalar execute() raises.
+        from repro.workloads import Workload
+        golden = Workload.golden
+
+        def diverging(self, variant="base", args=None):
+            mem = golden(self, variant, args)
+            if args is not None and args[0] == 64:
+                mem.write(mem.base["y"], 1e9)
+            return mem
+
+        monkeypatch.setattr(Workload, "golden", diverging)
+        worker_mod.reset_lru()
+        reqs = [EvaluationRequest(workload="saxpy", args=(128, 3.0)),
+                EvaluationRequest(workload="saxpy", args=(64, 3.0))]
+        good, bad = worker_mod.run_group_payload(
+            [r.to_json() for r in reqs])
+        assert good["status"] == "ok"
+        assert good["meta"]["coalesced"] == 2
+        assert response_payload_bytes(good) == \
+            response_payload_bytes(execute(reqs[0]).to_json())
+        assert bad["status"] == "error"
+        assert bad["request_key"] == reqs[1].canonical_key()
+        scalar = execute(reqs[1]).error
+        assert bad["error"]["lane"] == 1
+        for key in ("error", "message", "family"):
+            assert bad["error"][key] == scalar[key]
+
     def test_max_batch_caps_the_group(self):
         async def go():
             sched = Scheduler(workers=1, executor="thread",

@@ -265,6 +265,33 @@ class TestEvaluateMany:
         assert batch.verified == [True, True, True]
         assert batch.mode == "vectorized"
 
+    def test_lane_failing_verification_fails_only_itself(self,
+                                                           monkeypatch):
+        # Force the reference of the n=64 lane to diverge: that lane
+        # carries the verification error, the other one stays ok, and
+        # the request as a whole still answers.
+        from repro.api import execute
+        from repro.api.requests import EvaluationRequest
+        from repro.workloads import Workload
+        golden = Workload.golden
+
+        def diverging(self, variant="base", args=None):
+            mem = golden(self, variant, args)
+            if args is not None and args[0] == 64:
+                mem.write(mem.base["y"], 1e9)
+            return mem
+
+        monkeypatch.setattr(Workload, "golden", diverging)
+        resp = execute(EvaluationRequest(
+            workload="saxpy", args_list=((128, 3.0), (64, 3.0))))
+        assert resp.status == "ok"
+        good, bad = resp.lanes
+        assert good["verified"] is True
+        assert bad["lane"] == 1
+        assert bad["error"]["lane"] == 1
+        assert "array 'y' mismatch" in bad["error"]["message"]
+        assert bad["error"]["input_fingerprint"]
+
     def test_module_pipeline_per_lane_args(self):
         from repro import Pipeline
         source = """

@@ -75,6 +75,20 @@ class TestArtifactCache:
         assert simcompile.cache_stats()["entries"] == 1
 
 
+class TestDefaultKernel:
+    def test_compiled_is_the_default(self):
+        assert SimParams().kernel == "compiled"
+
+    @pytest.mark.parametrize("config", ["baseline", "allopts"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_workload_specializes(self, name, config):
+        # The default kernel must never quietly become a warning plus an
+        # event-kernel run: compiled_for raises KernelCompileError for a
+        # circuit it cannot specialize.  Compile only, no simulation.
+        _, circuit = _build(name, config)
+        assert simcompile.compiled_for(circuit) is not None
+
+
 class TestFallbackPolicy:
     def test_fallback_warns_and_records_error(self, monkeypatch):
         monkeypatch.delitem(simcompile._STEP_COMPILERS, "compute")

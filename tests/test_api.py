@@ -85,7 +85,7 @@ class TestChain:
         assert ev.passes == ""
         assert ev.cycles > 0
         assert ev.time_us == ev.cycles / ev.synth.fpga_mhz
-        assert ev.stats.kernel in ("event", "dense")
+        assert ev.stats.kernel == SimParams().kernel
         assert "cyc" in repr(ev)
 
     def test_to_json(self):

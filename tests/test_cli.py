@@ -178,6 +178,30 @@ class TestOthers:
         assert "verified" in capsys.readouterr().out
 
 
+class TestFlagDefaults:
+    """Flag defaults come from SimParams; fuzz keeps its own (event
+    reference kernel, shorter cycle budget) without leaking them into
+    the commands that share the flag definitions."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "k.mc"], ["bench", "gemm"],
+        ["explore", "img_scale"], ["client", "evaluate", "fib"],
+        ["client", "explore", "img_scale"]])
+    def test_defaults_follow_simparams(self, argv):
+        from repro.cli import build_parser
+        from repro.sim import SimParams
+        args = build_parser().parse_args(argv)
+        assert args.kernel == SimParams().kernel
+        assert getattr(args, "max_cycles", SimParams().max_cycles) \
+            == SimParams().max_cycles
+
+    def test_fuzz_keeps_the_event_reference(self):
+        from repro.cli import build_parser
+        args = build_parser().parse_args(["fuzz"])
+        assert args.kernel == "event"
+        assert args.max_cycles == 2_000_000
+
+
 class TestFaultInjection:
     def test_simulate_with_generated_faults(self, src_file, capsys):
         assert main(["simulate", src_file, "--args", "16", "2.0",

@@ -147,3 +147,72 @@ def test_tensor_variant_equivalence(name):
     mem = w.fresh_memory("tensor")
     simulate(circuit, mem, list(w.args_for("tensor")))
     w.verify(mem, "tensor")
+
+
+class TestVerifyReference:
+    """``Workload.verify`` checks against a reference run with the
+    arguments that produced the memory; the default-argument reference
+    is computed once per variant."""
+
+    @staticmethod
+    def _count_interpreter_runs(monkeypatch):
+        from repro.frontend.interp import Interpreter
+        calls = []
+        orig = Interpreter.run
+
+        def counted(interp, *args):
+            calls.append(args)
+            return orig(interp, *args)
+
+        monkeypatch.setattr(Interpreter, "run", counted)
+        return calls
+
+    def test_non_default_args_verify(self):
+        from repro.api import evaluate
+        ev = evaluate("saxpy", args=[256, 3.0])
+        assert ev.verified is True
+
+    def test_reference_follows_the_recorded_args(self):
+        # The simulator records the run's arguments on the memory; an
+        # image without them is checked against the default arguments,
+        # which a=3.0 does not match.
+        w = get_workload("saxpy")
+        circuit = translate_module(w.module())
+        mem = w.fresh_memory()
+        simulate(circuit, mem, [256, 3.0])
+        assert mem.root_args == (256, 3.0)
+        w.verify(mem)
+        mem.root_args = None
+        with pytest.raises(WorkloadError, match="array 'y' mismatch"):
+            w.verify(mem)
+
+    def test_second_verify_runs_no_interpreter(self, monkeypatch):
+        w = get_workload("fib")
+        circuit = translate_module(w.module())
+        mem = w.fresh_memory()
+        simulate(circuit, mem, list(w.args))
+        w.verify(mem)
+        calls = self._count_interpreter_runs(monkeypatch)
+        w.verify(mem)
+        w.verify(w.golden())
+        assert len(calls) == 1      # only golden() above
+
+    def test_memo_hit_still_catches_corruption(self):
+        w = get_workload("saxpy")
+        circuit = translate_module(w.module())
+        mem = w.fresh_memory()
+        simulate(circuit, mem, list(w.args))
+        w.verify(mem)
+        mem.write(mem.base["y"] + 17, mem.read(mem.base["y"] + 17) + 1.0)
+        with pytest.raises(WorkloadError, match="array 'y' mismatch"):
+            w.verify(mem)
+
+    def test_non_default_args_rerun_and_keep_the_memo(self, monkeypatch):
+        w = get_workload("saxpy")
+        w.verify(w.golden())
+        calls = self._count_interpreter_runs(monkeypatch)
+        w.verify(w.golden(args=(128, 4.0)))
+        assert len(calls) == 2      # golden() above + verify's reference
+        del calls[:]
+        w.verify(w.golden())
+        assert len(calls) == 1      # only golden() above
